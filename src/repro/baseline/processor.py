@@ -34,9 +34,6 @@ class BaselineProcessor(OutOfOrderCore):
     #: so a small ring suffices (it grows on demand regardless).
     window_capacity = 256
 
-    #: Exec codegen reads operands straight out of ``phys_value``.
-    codegen_flavor = "direct"
-
     def __init__(self, program, config) -> None:
         super().__init__(program, config)
         num_phys = config.phys_int + config.phys_fp
@@ -203,11 +200,6 @@ class BaselineProcessor(OutOfOrderCore):
         cycle_cap = max_cycles if max_cycles is not None \
             else max_instructions * 200 + 100_000
         stats = self.stats
-        if not self._codegen_built:
-            self._maybe_build_codegen()
-        # Window growth rebuilds the closures *in place*
-        # (``_exec_fns[:] = ...``), so the local binding stays live.
-        exec_fns = self._exec_fns
         fetch = self.fetch
         buffer = fetch.buffer
         in_flight = self.in_flight
@@ -468,7 +460,7 @@ class BaselineProcessor(OutOfOrderCore):
                     if kind == 4:
                         # Address memo (see _issue_stage_event): computed
                         # once, reused across blocked re-visits and by
-                        # the codegen closure below.
+                        # the load execute below.
                         addr = W_ma[slot]
                         if addr < 0:
                             base = phys_value[W_h0[slot]]
@@ -503,81 +495,74 @@ class BaselineProcessor(OutOfOrderCore):
                     W_st[slot] = st | 1
                     issued += 1
                     fu_used[code] = fu_used[code] + 1
-                    if exec_fns is not None:
-                        # Per-static-instruction codegen closure: operand
-                        # reads, semantics, latency and the completion
-                        # push compiled into one call (no kind ladder).
-                        exec_fns[pc](s, slot, now)
+                    if kind == 0:
+                        nsrc = P_nsrc[pc]
+                        if nsrc == 2:
+                            values = (phys_value[W_h0[slot]],
+                                      phys_value[W_h1[slot]])
+                        elif nsrc:
+                            values = (phys_value[W_h0[slot]],)
+                        else:
+                            values = ()
+                        W_res[slot] = P_eval[pc](values, P_imm[pc])
+                        latency = P_lat[pc]
+                    elif kind == 1:
+                        if P_nsrc[pc] == 2:
+                            values = (phys_value[W_h0[slot]],
+                                      phys_value[W_h1[slot]])
+                        else:
+                            values = (phys_value[W_h0[slot]],)
+                        W_atk[slot] = taken = P_branch[pc](values)
+                        W_atg[slot] = P_target[pc] if taken else pc + 1
+                        latency = P_lat[pc]
+                    elif kind == 4:
+                        if sq_entries:
+                            forwarded, penalty = sq_forward(addr, s)
+                        else:
+                            forwarded = None
+                        is_fld = P_code[pc] == _FLD
+                        if forwarded is not None:
+                            W_res[slot] = (float(forwarded) if is_fld
+                                           else forwarded)
+                            latency = 1 + penalty
+                        else:
+                            value = memory.get(addr, 0)
+                            W_res[slot] = (float(value) if is_fld
+                                           else value)
+                            # D-cache hit path, inline (Cache.access).
+                            line = (addr << 3) >> dc_line_shift
+                            tag = line >> dc_set_bits
+                            lines = dc_sets[line & dc_set_mask]
+                            if tag in lines:
+                                dcache.hits += 1
+                                lines.move_to_end(tag)
+                                latency = dcache_hit_cycles
+                            else:
+                                latency = load_latency(addr)
+                    elif kind == 5:
+                        base = phys_value[W_h1[slot]]
+                        W_sval[slot] = phys_value[W_h0[slot]]
+                        if type(base) is int:
+                            W_ma[slot] = (base + P_imm[pc]) & _ADDR_MASK
+                        else:
+                            W_ma[slot] = effective_address(base,
+                                                           P_imm[pc])
+                        latency = 1
+                    elif kind == 2:
+                        W_atk[slot] = True
+                        W_atg[slot] = P_target[pc]
+                        latency = P_lat[pc]
                     else:
-                        # Generic inline ladder (config.codegen off).
-                        if kind == 0:
-                            nsrc = P_nsrc[pc]
-                            if nsrc == 2:
-                                values = (phys_value[W_h0[slot]],
-                                          phys_value[W_h1[slot]])
-                            elif nsrc:
-                                values = (phys_value[W_h0[slot]],)
-                            else:
-                                values = ()
-                            W_res[slot] = P_eval[pc](values, P_imm[pc])
-                            latency = P_lat[pc]
-                        elif kind == 1:
-                            if P_nsrc[pc] == 2:
-                                values = (phys_value[W_h0[slot]],
-                                          phys_value[W_h1[slot]])
-                            else:
-                                values = (phys_value[W_h0[slot]],)
-                            W_atk[slot] = taken = P_branch[pc](values)
-                            W_atg[slot] = P_target[pc] if taken else pc + 1
-                            latency = P_lat[pc]
-                        elif kind == 4:
-                            if sq_entries:
-                                forwarded, penalty = sq_forward(addr, s)
-                            else:
-                                forwarded = None
-                            is_fld = P_code[pc] == _FLD
-                            if forwarded is not None:
-                                W_res[slot] = (float(forwarded) if is_fld
-                                               else forwarded)
-                                latency = 1 + penalty
-                            else:
-                                value = memory.get(addr, 0)
-                                W_res[slot] = (float(value) if is_fld
-                                               else value)
-                                # D-cache hit path, inline (Cache.access).
-                                line = (addr << 3) >> dc_line_shift
-                                tag = line >> dc_set_bits
-                                lines = dc_sets[line & dc_set_mask]
-                                if tag in lines:
-                                    dcache.hits += 1
-                                    lines.move_to_end(tag)
-                                    latency = dcache_hit_cycles
-                                else:
-                                    latency = load_latency(addr)
-                        elif kind == 5:
-                            base = phys_value[W_h1[slot]]
-                            W_sval[slot] = phys_value[W_h0[slot]]
-                            if type(base) is int:
-                                W_ma[slot] = (base + P_imm[pc]) & _ADDR_MASK
-                            else:
-                                W_ma[slot] = effective_address(base,
-                                                               P_imm[pc])
-                            latency = 1
-                        elif kind == 2:
-                            W_atk[slot] = True
-                            W_atg[slot] = P_target[pc]
-                            latency = P_lat[pc]
-                        else:
-                            W_atk[slot] = True
-                            W_atg[slot] = int(phys_value[W_h0[slot]])
-                            latency = P_lat[pc]
-                        finish = now + latency
-                        W_fin[slot] = finish
-                        fbucket = completions.get(finish)
-                        if fbucket is None:
-                            completions[finish] = [s]
-                        else:
-                            fbucket.append(s)
+                        W_atk[slot] = True
+                        W_atg[slot] = int(phys_value[W_h0[slot]])
+                        latency = P_lat[pc]
+                    finish = now + latency
+                    W_fin[slot] = finish
+                    fbucket = completions.get(finish)
+                    if fbucket is None:
+                        completions[finish] = [s]
+                    else:
+                        fbucket.append(s)
                     slots -= 1
                     if slots <= 0:
                         break
@@ -860,7 +845,7 @@ class BaselineProcessor(OutOfOrderCore):
         target = w.atg[slot]
         squashed = self.squash_after(seq, seq)
         self._release_squashed(squashed)
-        # In place: the codegen'd closures bind the RAT list itself.
+        # Copy, not alias: the branch's snapshot column stays intact.
         self.rat[:] = w.tag[slot]
         self.fetch.redirect(target, now)
 

@@ -50,10 +50,6 @@ class CPRProcessor(OutOfOrderCore):
     #: checkpoints, so start the ring larger (it still grows on demand).
     window_capacity = 2048
 
-    #: Exec codegen inlines the read-side refcount release (mirrors
-    #: :meth:`_release`, including free-list push order).
-    codegen_flavor = "release"
-
     def __init__(self, program, config) -> None:
         super().__init__(program, config)
         num_phys = config.phys_int + config.phys_fp
@@ -433,7 +429,7 @@ class CPRProcessor(OutOfOrderCore):
                     and owner.alive and not w_st[slot] & 2):
                 owner.outstanding -= 1
 
-        # In place: the codegen'd closures bind the RAT list itself.
+        # Copy, not alias: the checkpoint may be rolled back to again.
         self.rat[:] = target.rat_snapshot
         self._rebuild_refcounts()
         self._restore_history(target)
@@ -455,12 +451,7 @@ class CPRProcessor(OutOfOrderCore):
             self.predictor.set_history(target.history_base)
 
     def _rebuild_refcounts(self) -> None:
-        """Recompute every hold from rules 1-4 over surviving state.
-
-        All three containers are refilled *in place*: the codegen'd
-        issue closures bind ``refcount`` / ``int_free`` / ``fp_free``
-        as argument defaults, so the list objects must stay the same.
-        """
+        """Recompute every hold from rules 1-4 over surviving state."""
         counts = self.refcount
         counts[:] = [0] * self.num_phys
         for handle in self.rat:

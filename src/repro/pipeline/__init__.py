@@ -1,5 +1,5 @@
 """Shared pipeline machinery: fetch, in-flight window, resources, core
-engine, per-static-instruction codegen."""
+engine."""
 
 from repro.pipeline.core_base import FAULT_NONE, OutOfOrderCore
 from repro.pipeline.fetch import FetchEngine

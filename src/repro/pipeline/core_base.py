@@ -194,12 +194,6 @@ class OutOfOrderCore(ABC):
         #: CPR reads must release reader reference counts).
         self._read_direct = False
 
-        #: Per-static-instruction execute closures (event scheduler),
-        #: built lazily at the first ``run`` when ``config.codegen`` —
-        #: see :mod:`repro.pipeline.codegen`.  None = generic ladder.
-        self._exec_fns: Optional[List] = None
-        self._codegen_built = False
-
         #: Observability hook slots (``repro.obs``), pre-bound to None
         #: so every emission site is a single attribute test when
         #: telemetry is off — the same idiom as the specialisation
@@ -294,39 +288,12 @@ class OutOfOrderCore(ABC):
     # Top level.
     # ------------------------------------------------------------------ #
 
-    def _maybe_build_codegen(self) -> None:
-        """Instantiate per-static-instruction closures for this core.
-
-        Deferred to the first ``run`` call on purpose: seeding and
-        warm-state injection (sampled simulation) rebind ``memory`` /
-        ``predictor`` / ``hierarchy``, and the closures bake direct
-        references to those objects as argument defaults."""
-        self._codegen_built = True
-        if not getattr(self.config, "codegen", True):
-            return
-        if not self._sched_event:
-            return                       # the scan oracle stays generic
-        from repro.pipeline import codegen
-        self._exec_fns = codegen.build_exec_fns(self)
-        if self._exec_fns is not None:
-            self.w.add_on_grow(self._rebuild_codegen)
-
-    def _rebuild_codegen(self) -> None:
-        """Window growth doubled the mask the closures baked in —
-        regenerate them against the (in-place mutated) columns."""
-        from repro.pipeline import codegen
-        fns = codegen.build_exec_fns(self)
-        if fns is not None and self._exec_fns is not None:
-            self._exec_fns[:] = fns
-
     def run(self, max_instructions: int = 50_000,
             max_cycles: Optional[int] = None) -> SimStats:
         """Simulate until ``max_instructions`` commit, HALT, or cycle cap."""
         cycle_cap = max_cycles if max_cycles is not None \
             else max_instructions * 200 + 100_000
         stats = self.stats
-        if not self._codegen_built:
-            self._maybe_build_codegen()
         if not self._sched_event:
             while (not self.done and stats.committed < max_instructions
                    and stats.cycles < cycle_cap):
@@ -644,9 +611,6 @@ class OutOfOrderCore(ABC):
         w_ma = w.ma
         dec = self._dec
         kinds, imms, fu_codes = dec.kind, dec.imm, dec.fu
-        exec_fns = self._exec_fns
-        tracer = self.tracer
-        stats = self.stats
         read = 0
         write = 0
         n = len(window)
@@ -709,17 +673,7 @@ class OutOfOrderCore(ABC):
                 window[write] = s              # MSP bank read-port conflict
                 write += 1
                 continue
-            if exec_fns is not None:           # per-static codegen path
-                w_st[slot] = st | 1
-                if tracer is not None:
-                    tracer.issue(s, now)
-                stats.issued += 1
-                fu_used[code] += 1
-                fus._issued_total += 1
-                self.iq_count -= 1
-                exec_fns[pc](s, slot, now)
-            else:
-                issue(s, slot, pc, kind, now)  # compacted out
+            issue(s, slot, pc, kind, now)      # compacted out
             slots -= 1
             if slots <= 0:
                 break

@@ -71,11 +71,13 @@ MIN_CAMPAIGN_AMORTIZATION = 2.0
 
 #: Ceiling on the detailed core's slowdown relative to the emulator
 #: measured in the same record (the acceptance criterion of the
-#: SoA-window/codegen PR).  A machine-independent ratio, like the two
-#: floors above: both legs run back-to-back in one process, so load
-#: cancels.  The seed detailed core sat at ~43x the emulator; the
-#: SoA in-flight window + per-static-instruction codegen brought it
-#: to ~36x, and the gate holds the line between the two.  An
+#: SoA-window PR).  A machine-independent ratio, like the two floors
+#: above: both legs run back-to-back in one process, so load cancels.
+#: The seed detailed core sat at ~43x the emulator; the SoA in-flight
+#: window brought it to ~36x, and the gate holds the line between the
+#: two.  (That ~36x also included generated per-static-instruction
+#: exec closures, since removed: they were worth 3-11% on the detailed
+#: cores and a net loss on short cells.)  An
 #: emulator-only speedup can tighten this ratio — that is deliberate:
 #: the contract is that the detailed core tracks the functional
 #: interpreter's performance work, not that it never regresses alone.
@@ -405,9 +407,8 @@ def check_detailed_slowdown(current: dict) -> Optional[str]:
     mode is not a failure — e.g. a partial or --ref-only record).
 
     Like the two ratio floors above, the ceiling only applies at
-    detail budgets large enough to amortize the fixed core-build and
-    codegen-compile cost the detailed leg pays and the emulator leg
-    does not: a small ``-n`` smoke run is not a regression signal."""
+    detail budgets large enough to amortize the fixed core-build
+    cost the detailed leg pays and the emulator leg does not: a small ``-n`` smoke run is not a regression signal."""
     modes = current.get("modes", {})
     detailed = modes.get("detailed", {}).get("instructions_per_second")
     emulator = modes.get("emulator", {}).get("instructions_per_second")

@@ -58,13 +58,6 @@ class SimConfig:
     # equality between the two).
     scheduler: str = "event"
 
-    # Per-static-instruction execution codegen (decode-time closures
-    # replacing the generic kind ladder in the issue path). Bit-exact
-    # with the generic ladder by contract — the differential suite and
-    # the scan-scheduler oracle pin that — so this is a pure speed
-    # toggle, excluded from :meth:`cache_key` like ``label_override``.
-    codegen: bool = True
-
     # Registers. Baseline/CPR: flat file per class. MSP: per-logical bank.
     phys_int: int = 96
     phys_fp: int = 96
@@ -163,7 +156,8 @@ class SimConfig:
     @classmethod
     def from_dict(cls, data: Dict) -> "SimConfig":
         """Inverse of :meth:`to_dict`; ignores unknown keys so caches
-        written by newer versions still load."""
+        written by newer versions, or carrying since-removed fields,
+        still load."""
         known = {f.name for f in fields(cls)}
         payload = {k: v for k, v in data.items() if k in known}
         payload["exception_ordinals"] = frozenset(
@@ -172,17 +166,13 @@ class SimConfig:
 
     def cache_key(self) -> str:
         """Stable content hash of the configuration. ``label_override``
-        is presentation-only and ``codegen`` is a bit-identical
-        implementation toggle, so both are excluded: the same machine
-        run under different display labels or exec backends shares
-        cache entries. Every other field participates — including the
-        ``sample_*`` schedule, so sampled and full-detail results can
-        never collide."""
+        is presentation-only, so it is excluded: the same machine run
+        under different display labels shares cache entries. Every
+        other field participates — including the ``sample_*``
+        schedule, so sampled and full-detail results can never
+        collide."""
         payload = self.to_dict()
         payload.pop("label_override", None)
-        # Bit-identical-by-contract implementation toggle: the same
-        # machine with codegen on or off must share cache entries.
-        payload.pop("codegen", None)
         blob = json.dumps(payload, sort_keys=True,
                           separators=(",", ":"), default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

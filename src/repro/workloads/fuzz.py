@@ -7,10 +7,8 @@ the program runs forever (budget-terminated).
 
 The differential harness (:func:`run_differential`) cross-checks every
 timing core (baseline, CPR, MSP) under both detailed-core schedulers
-(event and scan) and both exec backends over the SoA window (codegen
-closures and the generic kind ladder) against the reference emulator on
-the same seeded program — commit trace and final memory must match the
-oracle exactly.
+(event and scan) against the reference emulator on the same seeded
+program — commit trace and final memory must match the oracle exactly.
 A mismatch comes back as a typed :class:`Divergence`; :func:`shrink`
 reduces it to the smallest ``(blocks, budget)`` pair that still
 reproduces, so a fuzz failure lands as a minimal repro, not a
@@ -124,11 +122,6 @@ def random_program(seed: int, blocks: int = 8,
 #: between them is a bug in one of them).
 SCHEDULERS = ("event", "scan")
 
-#: Exec backends over the SoA window: per-static-instruction codegen
-#: closures vs the generic kind ladder (``SimConfig.codegen``). Both
-#: must drive identical architectural state off identical columns.
-BACKENDS = ("codegen", "ladder")
-
 
 def fuzz_configs() -> List:
     """The three timing cores the harness checks against the oracle."""
@@ -149,18 +142,17 @@ class Divergence:
     kind: str                             # "stall"|"commit-trace"|"memory"
     detail: str
     config: Optional[object] = None       # the SimConfig (for recheck)
-    backend: str = "codegen"              # exec backend (see BACKENDS)
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "blocks": self.blocks,
                 "budget": self.budget, "machine": self.machine,
-                "scheduler": self.scheduler, "backend": self.backend,
+                "scheduler": self.scheduler,
                 "kind": self.kind, "detail": self.detail}
 
     def repro_command(self) -> str:
         """One line a human can paste to replay the divergence."""
         return (f"random_program(seed={self.seed}, blocks={self.blocks})"
-                f" on {self.machine}/{self.scheduler}/{self.backend}"
+                f" on {self.machine}/{self.scheduler}"
                 f" for {self.budget} instructions")
 
 
@@ -192,22 +184,20 @@ def compare_with_oracle(commit_trace: Sequence[int],
 
 
 def check_one(seed: int, config, scheduler: str, *,
-              blocks: int = 8, budget: int = 700,
-              backend: str = "codegen") -> Optional[Divergence]:
-    """Run one (core, scheduler, backend) cell against the emulator
-    oracle; returns a :class:`Divergence` or None when they agree."""
+              blocks: int = 8, budget: int = 700) -> Optional[Divergence]:
+    """Run one (core, scheduler) cell against the emulator oracle;
+    returns a :class:`Divergence` or None when they agree."""
     from repro.isa import Emulator
     from repro.sim import build_core
     program = random_program(seed, blocks=blocks)
     core = build_core(program, config.with_(scheduler=scheduler,
-                                            codegen=backend == "codegen",
                                             record_commits=True))
     stats = core.run(max_instructions=budget)
     if stats.committed < budget:
         return Divergence(seed, blocks, budget, config.label, scheduler,
                           "stall", f"core stalled after "
                           f"{stats.committed}/{budget} instructions",
-                          config=config, backend=backend)
+                          config=config)
     oracle = Emulator(program, trace_pcs=True)
     reference = oracle.run(max_instructions=stats.committed)
     mismatch = compare_with_oracle(core.commit_trace, reference.pc_trace,
@@ -216,25 +206,22 @@ def check_one(seed: int, config, scheduler: str, *,
         return None
     kind, detail = mismatch
     return Divergence(seed, blocks, budget, config.label, scheduler,
-                      kind, detail, config=config, backend=backend)
+                      kind, detail, config=config)
 
 
 def run_differential(seed: int, *, blocks: int = 8, budget: int = 700,
                      configs=None,
-                     schedulers: Sequence[str] = SCHEDULERS,
-                     backends: Sequence[str] = BACKENDS
+                     schedulers: Sequence[str] = SCHEDULERS
                      ) -> List[Divergence]:
-    """Sweep every core x scheduler x exec-backend cell for one seed;
-    returns all divergences found (empty on a healthy simulator)."""
+    """Sweep every core x scheduler cell for one seed; returns all
+    divergences found (empty on a healthy simulator)."""
     divergences = []
     for config in (configs if configs is not None else fuzz_configs()):
         for scheduler in schedulers:
-            for backend in backends:
-                found = check_one(seed, config, scheduler,
-                                  blocks=blocks, budget=budget,
-                                  backend=backend)
-                if found is not None:
-                    divergences.append(found)
+            found = check_one(seed, config, scheduler,
+                              blocks=blocks, budget=budget)
+            if found is not None:
+                divergences.append(found)
     return divergences
 
 
@@ -250,8 +237,7 @@ def shrink(divergence: Divergence,
         def reproduces(blocks: int, budget: int) -> Optional[Divergence]:
             return check_one(divergence.seed, divergence.config,
                              divergence.scheduler,
-                             blocks=blocks, budget=budget,
-                             backend=divergence.backend)
+                             blocks=blocks, budget=budget)
     best = divergence
     while best.blocks > 1:
         candidate = reproduces(best.blocks - 1, best.budget)

@@ -11,7 +11,6 @@ option in-tree.
 import pytest
 
 from repro.workloads.fuzz import (
-    BACKENDS,
     SCHEDULERS,
     Divergence,
     check_one,
@@ -27,22 +26,19 @@ def test_clean_sweep_finds_no_divergence(seed):
     assert run_differential(seed, budget=400) == []
 
 
-def test_sweep_covers_every_core_scheduler_and_backend():
+def test_sweep_covers_every_core_and_scheduler():
     labels = {config.label for config in fuzz_configs()}
     assert len(labels) == 3
     assert set(SCHEDULERS) == {"event", "scan"}
-    assert set(BACKENDS) == {"codegen", "ladder"}
     for config in fuzz_configs():
         for scheduler in SCHEDULERS:
-            for backend in BACKENDS:
-                assert check_one(5, config, scheduler, budget=300,
-                                 backend=backend) is None
+            assert check_one(5, config, scheduler, budget=300) is None
 
 
 def test_sweep_exercises_window_growth(monkeypatch):
     """With a forced tiny ring, fuzz programs must cross the growth
-    path (mask rebake + codegen regeneration) and still match the
-    oracle on every cell."""
+    path (in-place column re-placement + mask rebake) and still match
+    the oracle on every cell."""
     monkeypatch.setenv("REPRO_WINDOW_CAP", "4")
     from repro.sim import build_core
     from repro.workloads.fuzz import random_program
@@ -119,6 +115,6 @@ def test_divergence_repro_command_and_dict():
     d = Divergence(seed=9, blocks=4, budget=250, machine="cpr",
                    scheduler="scan", kind="memory", detail="addr 8")
     assert "seed=9" in d.repro_command()
-    assert "cpr/scan" in d.repro_command()
+    assert "on cpr/scan for 250 instructions" in d.repro_command()
     assert d.to_dict()["kind"] == "memory"
     assert "config" not in d.to_dict()

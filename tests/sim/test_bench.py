@@ -155,7 +155,7 @@ def test_simpoint_reduction_floor():
 
 def test_detailed_slowdown_ceiling():
     """The detailed core's cost relative to the emulator in the same
-    record is regression-guarded (SoA-window/codegen PR): the seed's
+    record is regression-guarded (SoA-window PR): the seed's
     ~43x slowdown must fail, the post-PR ~36x must pass."""
 
     def record(emulator, detailed):
@@ -170,7 +170,7 @@ def test_detailed_slowdown_ceiling():
     failure = bench.check_detailed_slowdown(
         record(2_580_000.0, 60_000.0))                  # ~43x (seed)
     assert failure is not None and "ceiling" in failure
-    # Smoke budgets can't amortize core-build + codegen compile: the
+    # Smoke budgets can't amortize the core-build cost: the
     # ceiling stands down rather than flagging fixed cost.
     smoke = record(2_580_000.0, 20_000.0)
     smoke["budgets"] = {"detail": 1000}

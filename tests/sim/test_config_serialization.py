@@ -37,11 +37,9 @@ def test_equal_configs_share_cache_key():
 def test_every_field_perturbs_cache_key(field):
     base = SimConfig.msp(16)
     changed = base.with_(**{field.name: _perturbed_value(base, field)})
-    if field.name in ("label_override", "codegen"):
-        # label_override is presentation-only and codegen is a
-        # bit-identical-by-contract implementation toggle: the same
-        # machine under a different display label or exec backend must
-        # share cache entries.
+    if field.name == "label_override":
+        # label_override is presentation-only: the same machine under a
+        # different display label must share cache entries.
         assert changed.cache_key() == base.cache_key()
     else:
         assert changed.cache_key() != base.cache_key()
@@ -63,24 +61,18 @@ def test_from_dict_ignores_unknown_keys():
     assert SimConfig.from_dict(data) == SimConfig.baseline()
 
 
-def test_from_dict_defaults_codegen_for_old_payloads():
-    """A result dict serialized before the ``codegen`` field existed
-    (PR 8 era) must load with codegen enabled, be equal to a
-    freshly-built config, and land on the same cache key — so old
-    checkpoint/profile store entries stay addressable."""
-    old = SimConfig.baseline(predictor="tage").to_dict()
-    del old["codegen"]                     # pre-field serialization
+@pytest.mark.parametrize("codegen", [True, False])
+def test_from_dict_drops_removed_codegen_key(codegen):
+    """Result caches and store payloads written while ``SimConfig``
+    still had a ``codegen`` field carry it, true or false.  They must
+    load equal to a fresh config and land on the same cache key — so
+    old checkpoint/profile store entries stay addressable."""
+    fresh = SimConfig.baseline(predictor="tage")
+    old = json.loads(json.dumps(fresh.to_dict()))
+    old["codegen"] = codegen
     loaded = SimConfig.from_dict(old)
-    assert loaded.codegen is True
-    assert loaded == SimConfig.baseline(predictor="tage")
-    assert (loaded.cache_key()
-            == SimConfig.baseline(predictor="tage").cache_key())
-    # And the toggle itself round-trips when present.
-    off = SimConfig.baseline().with_(codegen=False)
-    clone = SimConfig.from_dict(json.loads(json.dumps(off.to_dict())))
-    assert clone.codegen is False
-    assert clone == off
-    assert clone.cache_key() == SimConfig.baseline().cache_key()
+    assert loaded == fresh
+    assert loaded.cache_key() == fresh.cache_key()
 
 
 def test_key_is_order_independent():
