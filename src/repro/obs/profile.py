@@ -100,14 +100,24 @@ class PhaseProfile:
         return profile
 
     def format(self, indent: str = "") -> str:
-        """Multi-line table, largest phase first."""
-        total = self.total()
+        """Multi-line table, largest phase first.
+
+        A ``job`` span encloses a whole cell, so every other phase
+        except the dispatcher-side ``queue-wait`` is nested inside it:
+        the table shows ``job`` as self time (minus the nested phases)
+        so the shares sum to 100%.  ``seconds`` keeps the enclosing
+        total."""
+        seconds = dict(self.seconds)
+        if "job" in seconds:
+            nested = sum(value for phase, value in seconds.items()
+                         if phase not in ("job", "queue-wait"))
+            seconds["job"] = max(0.0, seconds["job"] - nested)
+        total = sum(seconds.values())
         lines = []
-        for phase in sorted(self.seconds, key=self.seconds.get,
-                            reverse=True):
-            seconds = self.seconds[phase]
-            share = 100.0 * seconds / total if total else 0.0
+        for phase in sorted(seconds, key=seconds.get, reverse=True):
+            share = 100.0 * seconds[phase] / total if total else 0.0
             count = self.counts.get(phase, 0)
-            lines.append(f"{indent}{phase:<12} {seconds:9.3f}s "
+            name = "job (self)" if phase == "job" else phase
+            lines.append(f"{indent}{name:<12} {seconds[phase]:9.3f}s "
                          f"{share:5.1f}%  ({count} spans)")
         return "\n".join(lines)

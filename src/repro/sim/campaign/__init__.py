@@ -8,8 +8,10 @@ subsystem gives every experiment harness three things:
   ``(workload, SimConfig, budget)`` cell with a stable content-hash key;
 * a :class:`~repro.sim.campaign.store.ResultStore` — statistics
   persisted on disk by job key, so reruns skip already-simulated cells;
-* an executor — :func:`~repro.sim.campaign.executor.run_jobs` shards
-  pending jobs across a process pool (``REPRO_JOBS`` / ``--jobs``).
+* an executor — :func:`~repro.sim.campaign.executor.run_jobs` runs
+  pending jobs serially or on the lease-based worker pool
+  (:mod:`~repro.sim.campaign.pool`, ``REPRO_JOBS`` / ``--jobs``), the
+  same engine the ``repro serve`` daemon drives.
 
 Grids are expressed declaratively with
 :class:`~repro.sim.campaign.spec.CampaignSpec`.

@@ -1,29 +1,32 @@
-"""Campaign executor: supervised pool, retry/quarantine, memoized on disk.
+"""Campaign executor: retry/quarantine over one worker engine,
+memoized on disk.
 
 ``run_jobs`` is the single entry point every harness routes through:
 
 1. look each job up in the :class:`ResultStore` (cache hit = no sim);
-2. shard the misses across ``workers`` processes (``REPRO_JOBS`` env,
-   ``--jobs`` flag; 1 = serial in-process, which parallel runs must
-   match bit-for-bit because every simulation is deterministic);
-3. persist each fresh result before reporting it.
+2. run the misses — serially in-process (``workers <= 1``) or on the
+   lease-based :class:`~repro.sim.campaign.pool.WorkerPool`
+   (``REPRO_JOBS`` env, ``--jobs`` flag), which parallel runs must
+   match bit-for-bit because every simulation is deterministic;
+3. persist each fresh result, in this process, before reporting it.
 
-Fault tolerance (the resilience substrate the queue/worker service
-will sit on):
+Fault tolerance (the same engine and policy ``repro serve`` uses):
 
-* **Supervised pool** — a killed worker (SIGKILL, SIGSEGV, OOM) breaks
-  the whole :class:`ProcessPoolExecutor`; instead of failing every
-  in-flight future with one opaque ``BrokenProcessPool``, the executor
-  respawns the pool and re-dispatches exactly the jobs whose results
-  were lost.
+* **Leased workers** — every dispatched job is covered by a lease that
+  a busy worker's heartbeat renews.  A killed worker (SIGKILL, SIGSEGV,
+  OOM) is reaped and replaced, and only the job it held is re-run as a
+  ``WorkerLost`` attempt; a silent one loses its lease after
+  ``REPRO_LEASE_TTL`` (``LeaseExpired``).
 * **Retry + quarantine** — transient failures (``JobTimeout``, lost
-  workers, ``OSError``) are retried up to ``retries`` times
-  (``REPRO_RETRIES`` / ``--retries``) with deterministic exponential
-  backoff; permanent failures (a simulator assertion) and jobs that
-  exhaust the budget are *quarantined*: the grid keeps going and the
-  job ends in a typed :class:`~repro.sim.campaign.journal.JobReceipt`
-  (outcome, attempts, error classes, tracebacks, wall time) on
+  workers, expired leases, ``OSError``) are retried up to ``retries``
+  times (``REPRO_RETRIES`` / ``--retries``) with deterministic
+  exponential backoff; permanent failures (a simulator assertion) and
+  jobs that exhaust the budget are *quarantined*: the grid keeps going
+  and the job ends in a typed
+  :class:`~repro.sim.campaign.journal.JobReceipt` (outcome, attempts,
+  error classes, traceback tails, wall time) on
   ``CampaignReport.receipts`` and in the campaign journal.
+  :meth:`JobAttempts.failed` is that policy, for every driver.
 * **Resume + graceful drain** — every receipt is journalled next to
   the result store; SIGINT/SIGTERM stop dispatching, let in-flight
   jobs finish, journal what is missing and return a partial report
@@ -40,9 +43,10 @@ the plan for the duration of the run and consumes job faults at
 dispatch time, so a given plan always hits the same cells.
 
 Workers transport statistics as ``SimStats.to_dict()`` payloads, the
-same representation the store persists. A per-job timeout (SIGALRM in
-the worker, so a wedged simulation cannot hang the campaign) marks the
-job failed instead of killing the whole run.
+same representation the store persists.  A per-job timeout (SIGALRM
+in the process running the job) marks the job failed instead of
+letting a wedged simulation hang the campaign: leases cannot, because
+a wedged worker keeps heartbeating from its beat thread.
 """
 
 from __future__ import annotations
@@ -52,16 +56,12 @@ import json
 import math
 import os
 import signal
-import sys
 import threading
 import time
+import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import multiprocessing
 
 from repro.defaults import env_float, env_int
 from repro.obs import PhaseProfile, log, profile_enabled
@@ -127,7 +127,7 @@ class CampaignInterrupted(CampaignError):
 
 
 class JobTimeout(Exception):
-    """Raised inside a worker when the per-job SIGALRM fires."""
+    """Raised in the process running a job when its SIGALRM fires."""
 
 
 class WorkerLost(Exception):
@@ -139,7 +139,7 @@ class WorkerLost(Exception):
 #: else (simulator assertions, config ``ValueError``\ s) is permanent:
 #: deterministic simulations fail deterministically, so re-running a
 #: permanent failure can only burn time — quarantine immediately.
-TRANSIENT_ERRORS = (JobTimeout, WorkerLost, OSError, BrokenProcessPool)
+TRANSIENT_ERRORS = (JobTimeout, WorkerLost, OSError)
 
 
 def classify_error(exc: BaseException) -> str:
@@ -150,15 +150,66 @@ def classify_error(exc: BaseException) -> str:
 
 def _format_error(exc: BaseException) -> str:
     """One receipt line per failed attempt: class, message, and the
-    tail of the remote traceback when the pool shipped one."""
+    innermost traceback frames, formatted in the process that ran the
+    job (a worker's frames would not survive the trip back)."""
     text = f"{type(exc).__name__}: {exc}"
-    cause = getattr(exc, "__cause__", None)
-    remote = getattr(cause, "tb", None) if cause is not None else None
-    if isinstance(remote, str) and remote:
-        tail = [line for line in remote.strip().splitlines()
-                if line.strip()][-3:]
-        text += " | " + " / ".join(line.strip() for line in tail)
+    frames = traceback.extract_tb(exc.__traceback__)[-3:]
+    if frames:
+        text += " | " + " / ".join(
+            f"{frame.name} ({os.path.basename(frame.filename)}:"
+            f"{frame.lineno})" for frame in frames)
     return text
+
+
+@dataclass(frozen=True)
+class Failure:
+    """One failed attempt as the retry policy sees it."""
+
+    error_class: str
+    message: str
+    transient: bool
+
+    @classmethod
+    def of(cls, exc: BaseException) -> "Failure":
+        return cls(type(exc).__name__, _format_error(exc),
+                   classify_error(exc) == "transient")
+
+
+@dataclass
+class JobAttempts:
+    """Attempt bookkeeping for one job, shared by every driver of the
+    engine (serial and pooled ``run_jobs``, ``repro serve``)."""
+
+    label: str = ""
+    attempts: int = 0
+    errors: List[str] = field(default_factory=list)
+    error_class: Optional[str] = None
+    started: float = 0.0
+    wall: float = 0.0
+
+    def begin(self, now: float) -> None:
+        self.attempts += 1
+        self.started = now
+
+    def end(self, now: float) -> None:
+        if self.started:
+            self.wall += now - self.started
+            self.started = 0.0
+
+    def failed(self, failure: Failure, retries: int) -> bool:
+        """The retry/quarantine policy: record a failed attempt and
+        return True to retry it, False to quarantine the job."""
+        self.errors.append(failure.message)
+        self.error_class = failure.error_class
+        return failure.transient and self.attempts <= retries
+
+    def receipt(self, key: str, quarantined: bool = False) -> JobReceipt:
+        outcome = ("quarantined" if quarantined
+                   else "retried" if self.attempts > 1 else "ok")
+        return JobReceipt(
+            key=key, label=self.label, outcome=outcome,
+            attempts=self.attempts, error_class=self.error_class,
+            errors=list(self.errors), wall_seconds=self.wall)
 
 
 @dataclass
@@ -289,47 +340,6 @@ def _execute_job(job: Job, timeout: Optional[float],
             signal.signal(signal.SIGALRM, previous)
 
 
-def _worker_init() -> None:
-    """Pool-worker startup: shed state a forked worker must not keep.
-
-    * The parent's armed fault registry — all fault decisions are made
-      parent-side (deterministic dispatch counting); the job fault
-      rides in the payload's ``inject`` field.
-    * The parent's drain-guard signal handlers — a worker that swallows
-      the SIGTERM the pool uses to terminate it would hang shutdown,
-      and Ctrl-C (SIGINT goes to the whole foreground process group)
-      must drain via the parent, not kill workers mid-job.
-    """
-    faults._PLAN = None
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        if hasattr(signal, "SIGTERM"):
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    except (ValueError, OSError):
-        pass
-
-
-def _worker(payload: Tuple[Job, Optional[float], Optional[os.PathLike],
-                           bool, bool, Optional[str]]
-            ) -> Tuple[str, dict, Optional[dict]]:
-    job, timeout, cache_dir, checkpoints, profile, inject = payload
-    faults._PLAN = None            # belt-and-suspenders vs fork timing
-    stats_dict, prof_dict = _execute_job(job, timeout, cache_dir,
-                                         checkpoints, profile, inject)
-    return job.cache_key(), stats_dict, prof_dict
-
-
-@dataclass
-class _JobState:
-    """Executor-side bookkeeping for one pending job's attempts."""
-
-    attempts: int = 0
-    errors: List[str] = field(default_factory=list)
-    error_class: Optional[str] = None
-    started: float = 0.0
-    wall: float = 0.0
-
-
 class _DrainGuard:
     """SIGINT/SIGTERM -> graceful drain: stop dispatching, finish (or
     cancel unstarted) in-flight work, journal the gap.  Installed only
@@ -390,7 +400,7 @@ def run_jobs(jobs: Sequence[Job], *,
              resume: bool = False,
              fault_plan: Optional[faults.FaultPlan] = None
              ) -> CampaignReport:
-    """Run ``jobs``, sharded across processes, memoized on disk.
+    """Run ``jobs`` serially or on the worker pool, memoized on disk.
 
     ``workers=None`` reads ``REPRO_JOBS``; ``use_cache=None`` reads
     ``REPRO_NO_CACHE``; ``checkpoints=None`` reads
@@ -401,9 +411,10 @@ def run_jobs(jobs: Sequence[Job], *,
     statistics.
 
     ``retries=None`` reads ``REPRO_RETRIES`` (default 1): transient
-    failures — ``JobTimeout``, a lost worker, ``OSError`` — are
-    re-dispatched with deterministic backoff up to that many times,
-    then quarantined; permanent failures quarantine immediately.
+    failures — ``JobTimeout``, a lost worker, an expired lease,
+    ``OSError`` — are re-dispatched with deterministic backoff up to
+    that many times, then quarantined; permanent failures quarantine
+    immediately (:meth:`JobAttempts.failed`).
     Every executed job ends in a :class:`JobReceipt` on
     ``report.receipts`` and (when the cache is on) in the campaign
     journal next to the result store.
@@ -456,7 +467,8 @@ def run_jobs(jobs: Sequence[Job], *,
 
     total = len(pending)
     done = 0
-    states: Dict[str, _JobState] = {key: _JobState() for key in pending}
+    states = {key: JobAttempts(job.label) for key, job in pending.items()}
+    runnable = deque(pending)
     dispatches = 0                        # fault-plan dispatch ordinal
 
     if journal is not None and (pending or resume):
@@ -478,17 +490,13 @@ def run_jobs(jobs: Sequence[Job], *,
             # recorded as a job failure.
             progress = None
 
-    def _record_receipt(key: str, outcome: str) -> JobReceipt:
-        job, state = pending[key], states[key]
-        receipt = JobReceipt(
-            key=key, label=job.label, outcome=outcome,
-            attempts=state.attempts, error_class=state.error_class,
-            errors=list(state.errors), wall_seconds=state.wall)
+    def _record_receipt(key: str, quarantined: bool = False) -> None:
+        state = states[key]
+        receipt = state.receipt(key, quarantined)
         report.receipts[key] = receipt
         report.retried_attempts += max(0, state.attempts - 1)
         if journal is not None:
             journal.record(receipt)
-        return receipt
 
     def _finish(key: str, stats_dict: dict,
                 prof_dict: Optional[dict] = None) -> None:
@@ -513,7 +521,7 @@ def run_jobs(jobs: Sequence[Job], *,
                 log(f"repro: result store write failed for "
                     f"{job.label} ({exc}); keeping the result "
                     f"in memory only", "warn")
-        _record_receipt(key, "retried" if state.attempts > 1 else "ok")
+        _record_receipt(key)
         done += 1
         _emit(f"[{done}/{total}] {job.label}"
               + (f" (attempt {state.attempts})"
@@ -521,189 +529,98 @@ def run_jobs(jobs: Sequence[Job], *,
 
     def _quarantine(key: str) -> None:
         nonlocal done
-        job, state = pending[key], states[key]
-        report.failures[job.label] = state.errors[-1] if state.errors \
-            else "unknown failure"
+        state = states[key]
+        report.failures[state.label] = state.errors[-1]
         report.quarantined += 1
-        _record_receipt(key, "quarantined")
+        _record_receipt(key, quarantined=True)
         done += 1
-        log(f"repro: quarantined {job.label} after {state.attempts} "
-            f"attempt(s): {state.errors[-1] if state.errors else '?'}",
-            "warn")
-        _emit(f"[{done}/{total}] {job.label} quarantined "
+        log(f"repro: quarantined {state.label} after {state.attempts} "
+            f"attempt(s): {state.errors[-1]}", "warn")
+        _emit(f"[{done}/{total}] {state.label} quarantined "
               f"({state.error_class})")
 
-    def _attempt_failed(key: str, exc: BaseException) -> bool:
-        """Record a failed attempt; True if the job should be retried."""
+    def _settle(key: str, result: Optional[tuple],
+                failure: Optional[Failure]) -> None:
+        """Settle one ended attempt: keep it, retry it or quarantine."""
+        if key in report.receipts:
+            return                          # a zombie's late duplicate
         state = states[key]
-        state.errors.append(_format_error(exc))
-        state.error_class = type(exc).__name__
-        if classify_error(exc) == "transient" \
-                and state.attempts <= retries:
-            log(f"repro: retrying {pending[key].label} "
-                f"(attempt {state.attempts} failed: "
-                f"{type(exc).__name__}: {exc})", "debug")
-            return True
-        _quarantine(key)
-        return False
+        state.end(time.monotonic())
+        if failure is None:
+            _finish(key, *result)
+        elif state.failed(failure, retries):
+            log(f"repro: retrying {state.label} (attempt "
+                f"{state.attempts} failed: {failure.message})", "debug")
+            runnable.append(key)
+        else:
+            _quarantine(key)
 
-    runnable = deque(pending.items())
+    def _next_task() -> Optional[Tuple[str, Job, Optional[str]]]:
+        """Start an attempt of the next runnable job, after its retry
+        backoff: ``(key, job, injected fault)``, or None."""
+        nonlocal dispatches
+        while runnable:
+            key = runnable.popleft()
+            if key in report.receipts:
+                continue                    # settled by a zombie's result
+            state = states[key]
+            if state.attempts:
+                time.sleep(_backoff_seconds(state.attempts, backoff_base))
+            dispatches += 1
+            state.begin(time.monotonic())
+            return (key, pending[key],
+                    plan.job_fault(dispatches) if plan else None)
+        return None
 
     with faults.active(plan), _DrainGuard() as drain:
         if workers <= 1:
-            while runnable and not drain.triggered:
-                key, job = runnable.popleft()
-                state = states[key]
-                if state.attempts > 0:
-                    time.sleep(_backoff_seconds(state.attempts,
-                                                backoff_base))
-                dispatches += 1
-                state.attempts += 1
-                inject = plan.job_fault(dispatches) if plan else None
-                t0 = time.monotonic()
+            while not drain.triggered:
+                task = _next_task()
+                if task is None:
+                    break
+                key, job, inject = task
                 try:
                     if inject == "worker-kill":
                         # Serial has no worker to kill: degrade to the
-                        # same transient classification a pool break
+                        # same transient classification a lost worker
                         # gets, so serial plans stay meaningful.
                         raise WorkerLost(
                             f"injected worker-kill for {job.label}")
-                    stats_dict, prof_dict = _execute_job(
-                        job, timeout, cache_dir, checkpoints, profile,
-                        inject)
+                    result = _execute_job(job, timeout, cache_dir,
+                                          checkpoints, profile, inject)
                 except Exception as exc:        # noqa: BLE001
-                    state.wall += time.monotonic() - t0
-                    if _attempt_failed(key, exc):
-                        runnable.append((key, job))
+                    _settle(key, None, Failure.of(exc))
                 else:
-                    state.wall += time.monotonic() - t0
-                    _finish(key, stats_dict, prof_dict)
+                    _settle(key, result, None)
         elif pending:
-            # On Linux, fork shares the parent's warm program cache with
-            # the workers. Elsewhere use the platform default (spawn):
-            # macOS lists fork as available but fork-without-exec is
-            # unsafe there.
-            context = (multiprocessing.get_context("fork")
-                       if sys.platform == "linux"
-                       else multiprocessing.get_context())
+            from repro.sim.campaign.pool import WorkerPool
+            pool = WorkerPool(min(workers, total), cache_dir=cache_dir,
+                              checkpoints=checkpoints, timeout=timeout,
+                              profile=profile, plan=plan)
             submitted = time.monotonic()
-            pool: Optional[ProcessPoolExecutor] = None
-            inflight: Dict[object, str] = {}
-            respawns = 0
-            # Safety valve: enough respawns for every job to exhaust
-            # its own retry budget, then stop fighting the machine.
-            max_respawns = (retries + 1) * max(1, total)
-
-            def _consume(future, key: str) -> bool:
-                """Process one settled future; True if the pool broke."""
-                state = states[key]
-                if future.cancelled():
-                    # Drain cancelled it before it started: the
-                    # dispatch never ran, so it was not an attempt.
-                    state.attempts -= 1
-                    return False
-                state.wall += time.monotonic() - state.started
-                try:
-                    rkey, stats_dict, prof_dict = future.result()
-                except BrokenProcessPool:
-                    if _attempt_failed(key, WorkerLost(
-                            f"worker died with {pending[key].label} "
-                            f"in flight")):
-                        runnable.append((key, pending[key]))
-                    return True
-                except Exception as exc:        # noqa: BLE001
-                    if _attempt_failed(key, exc):
-                        runnable.append((key, pending[key]))
-                    return False
-                _finish(rkey, stats_dict, prof_dict)
-                return False
-
+            pool.start()
             try:
-                while (runnable or inflight) and not drain.triggered:
-                    if pool is None:
-                        pool = ProcessPoolExecutor(
-                            max_workers=min(workers, total),
-                            mp_context=context,
-                            initializer=_worker_init)
-                    broken = False
-                    while runnable and not drain.triggered:
-                        key, job = runnable.popleft()
-                        state = states[key]
-                        if state.attempts > 0:
-                            time.sleep(_backoff_seconds(
-                                state.attempts, backoff_base))
-                        dispatches += 1
-                        state.attempts += 1
-                        inject = plan.job_fault(dispatches) if plan \
-                            else None
-                        state.started = time.monotonic()
-                        try:
-                            future = pool.submit(
-                                _worker, (job, timeout, cache_dir,
-                                          checkpoints, profile, inject))
-                        except BrokenProcessPool as exc:
-                            # The pool died while we were dispatching.
-                            if _attempt_failed(key, WorkerLost(
-                                    f"pool broke dispatching "
-                                    f"{job.label}: {exc}")):
-                                runnable.append((key, job))
-                            broken = True
+                while done < total and not drain.triggered:
+                    for worker_id in pool.idle():
+                        task = _next_task()
+                        if task is None:
                             break
-                        inflight[future] = key
-                    if not broken and inflight:
-                        settled, _ = wait(set(inflight), timeout=0.5,
-                                          return_when=FIRST_COMPLETED)
-                        for future in settled:
-                            broken |= _consume(
-                                future, inflight.pop(future))
-                    if broken:
-                        # Every other in-flight future fails with the
-                        # same BrokenProcessPool; settle them all and
-                        # salvage any result that beat the crash.
-                        if inflight:
-                            wait(set(inflight))
-                            for future in list(inflight):
-                                _consume(future, inflight.pop(future))
-                        pool.shutdown(wait=False)
-                        pool = None
-                        respawns += 1
-                        if respawns > max_respawns:
-                            log(f"repro: worker pool broke "
-                                f"{respawns} times; quarantining the "
-                                f"{len(runnable)} remaining job(s)",
-                                "error")
-                            while runnable:
-                                key, _job = runnable.popleft()
-                                states[key].errors.append(
-                                    "WorkerLost: pool respawn budget "
-                                    "exhausted")
-                                states[key].error_class = "WorkerLost"
-                                _quarantine(key)
-                            break
-                        log(f"repro: worker pool broke (killed "
-                            f"worker?); respawning "
-                            f"(respawn {respawns}/{max_respawns}) and "
-                            f"re-dispatching {len(runnable)} lost "
-                            f"job(s)", "warn")
-                        time.sleep(_backoff_seconds(respawns,
-                                                    backoff_base))
-                if drain.triggered and inflight:
-                    # Graceful drain: cancel what never started, wait
-                    # for the rest to finish, keep their results.
-                    for future in inflight:
-                        future.cancel()
-                    wait(set(inflight))
-                    for future in list(inflight):
-                        _consume(future, inflight.pop(future))
+                        pool.send(worker_id, *task)
+                    for settled in pool.collect(pool.receive(pool.tick)):
+                        _settle(*settled)
+                # Graceful drain: dispatch nothing more, let the leased
+                # jobs finish and keep their results.
+                while drain.triggered and len(pool.leases):
+                    for settled in pool.collect(pool.receive(pool.tick)):
+                        _settle(*settled)
             finally:
-                if pool is not None:
-                    pool.shutdown(wait=True)
+                pool.stop()
             if report.phase is not None:
                 # Queue-wait: worker-slot seconds the pool did NOT
-                # spend inside job bodies — fork/submit latency, result
-                # pickling and load imbalance.  (Per-job idle is not
-                # observable from the parent while jobs overlap, so
-                # account it in bulk.)
+                # spend inside job bodies — fork/dispatch latency,
+                # result transport and load imbalance.  (Per-job idle
+                # is not observable from the parent while jobs overlap,
+                # so account it in bulk.)
                 wall = time.monotonic() - submitted
                 busy = report.phase.seconds.get("job", 0.0)
                 idle = wall * min(workers, total) - busy
@@ -751,20 +668,24 @@ def profile_path(cache_dir: Optional[os.PathLike] = None):
 
 def _persist_profile(store: ResultStore, phase: PhaseProfile) -> None:
     """Fold this run's merged profile into the store's sidecar
-    ``profile.json`` (best effort — profiling must never fail a run)."""
+    ``profile.json`` (best effort — profiling must never fail a run).
+    The read-merge-rewrite holds the store's lock, so two campaigns
+    sharing a cache dir neither lose an update nor tear the temp
+    file."""
     path = store.cache_dir / "profile.json"
-    merged = PhaseProfile()
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            merged.merge(json.load(fh))
-    except (OSError, ValueError):
-        pass
-    merged.merge(phase)
-    try:
-        tmp = path.with_suffix(".json.tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            json.dump(merged.to_dict(), fh, indent=1, sort_keys=True)
-        tmp.replace(path)
+        with store._locked():
+            merged = PhaseProfile()
+            try:
+                with path.open("r", encoding="utf-8") as fh:
+                    merged.merge(json.load(fh))
+            except (OSError, ValueError):
+                pass
+            merged.merge(phase)
+            tmp = path.with_suffix(".json.tmp")
+            with tmp.open("w", encoding="utf-8") as fh:
+                json.dump(merged.to_dict(), fh, indent=1, sort_keys=True)
+            tmp.replace(path)
     except OSError:
         pass
 
@@ -775,7 +696,7 @@ def run_job(job: Job, **kwargs) -> SimStats:
 
 
 __all__ = ["CampaignError", "CampaignInterrupted", "CampaignReport",
-           "JobReceipt",
+           "Failure", "JobAttempts", "JobReceipt",
            "JobTimeout", "TRANSIENT_ERRORS", "WorkerLost",
            "cache_enabled_by_default", "classify_error",
            "default_backoff", "default_retries", "default_workers",

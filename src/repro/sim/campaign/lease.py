@@ -10,19 +10,19 @@ hands the lease back to the dispatcher, which re-queues the job.
 
 Expiry is deliberately *not* worker murder: a zombie worker that lost
 its lease but eventually finishes is harmless, because results are
-idempotent by content-hash key — its ``store.put`` is a no-op
-duplicate and its late completion event is ignored.  The lease bounds
-how long a job's *progress* can stall, not how long a worker may live.
+idempotent by content-hash key — the dispatcher settles a job once and
+ignores every later event for it.  The lease bounds how long a job's
+*progress* can stall, not how long a worker may live.
 
 Renewals pass through the ``lease-renew`` fault point
 (:mod:`repro.sim.faults`): a faulted renewal is skipped, so lease
-expiry is deterministically testable from the daemon process alone
-even while real heartbeats keep arriving.
+expiry is deterministically testable from the dispatching process
+alone even while real heartbeats keep arriving.
 
-The table is daemon-memory only.  Leases are void on daemon crash by
-design: the spool still lists every undone job, so a restarted daemon
-re-dispatches them all — the crash-recovery invariant needs no
-persistent lease state.
+The table lives in the dispatcher's memory only.  Leases are void when
+the dispatcher dies, by design: the service spool still lists every
+undone job, so a restarted daemon re-dispatches them all — the
+crash-recovery invariant needs no persistent lease state.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class LeaseTable:
             try:
                 faults.fire("lease-renew")
             except OSError as exc:
-                log(f"repro: serve: lease renewal for {lease.key[:12]} "
+                log(f"repro: lease renewal for {lease.key[:12]} "
                     f"skipped ({exc})", "debug")
                 continue
             lease.deadline = self.clock() + self.ttl

@@ -7,16 +7,18 @@ fault at one named point in the campaign stack::
 
 Two token shapes:
 
-* ``<kind>@<N>`` — a **job fault**: the parent executor consumes it
-  when it hands out the ``N``-th job *dispatch* of the run (1-based,
+* ``<kind>@<N>`` — a **job fault**: the dispatcher (``run_jobs`` or
+  the daemon) consumes it when it hands out the ``N``-th job
+  *dispatch* of the run (1-based,
   counting retries; dispatch order is the deterministic pending-job
   order, so the same plan always hits the same cell).  The worker then
   executes the fault at the top of the job body.  Kinds:
 
-  - ``worker-kill`` — SIGKILL the worker process (the parent sees
-    ``BrokenProcessPool``; on the serial path it degrades to a
-    :class:`~repro.sim.campaign.executor.WorkerLost`, the same
-    transient classification).
+  - ``worker-kill`` — SIGKILL the worker process: the pool reaps it,
+    forks a replacement and settles the job it held as a transient
+    ``WorkerLost`` attempt (on the serial path the fault degrades to a
+    :class:`~repro.sim.campaign.executor.WorkerLost` raised in place,
+    the same classification).
   - ``timeout`` — raise the per-job
     :class:`~repro.sim.campaign.executor.JobTimeout` (transient).
   - ``oserror`` — raise ``OSError(EIO)`` from the job body (transient).
@@ -38,18 +40,19 @@ Two token shapes:
     (:meth:`repro.sim.service.queue.SpoolQueue.submit`): a faulted
     append rejects the submission (a job the daemon cannot persist is
     a job it must not accept).
-  - ``lease-renew`` — the daemon-side lease renewal when a worker
-    heartbeat arrives (:class:`repro.sim.service.lease.LeaseTable`):
+  - ``lease-renew`` — the dispatcher-side lease renewal when a worker
+    heartbeat arrives (:class:`repro.sim.campaign.lease.LeaseTable`):
     a faulted renewal is skipped, so the lease ages toward
     ``REPRO_LEASE_TTL`` expiry even while heartbeats flow —
     deterministic lease-expiry/re-dispatch testing from one process.
   - ``heartbeat`` — the worker-side heartbeat sender: a faulted beat
     is never sent (a worker that "stops heartbeating").
 
-  Site faults fire in the process that owns the site: ``enqueue`` and
-  ``lease-renew`` in the daemon, ``heartbeat``/``put`` in whichever
-  process performs them (service workers re-arm the environment plan
-  at startup, each with its own firing state).
+  Site faults fire in the process that owns the site: ``put``,
+  ``journal``, ``enqueue`` and ``lease-renew`` in the dispatching
+  process (``campaign run`` or the daemon), ``heartbeat`` and, on the
+  pool, ``artifact-put`` in the workers, which arm the dispatcher's
+  plan at startup, each with its own firing state.
 
 Zero overhead when off (the PR 7 idiom): every fault point is one
 module-global ``None`` check (:func:`fire`), no fault point sits on a

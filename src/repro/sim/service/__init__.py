@@ -3,8 +3,9 @@
 The daemon face of the campaign layer: a stdlib-only HTTP JSON API in
 front of the same content-addressed result store that ``campaign run``
 uses.  Submissions are durable before they are acknowledged (crash-safe
-spool, :mod:`~repro.sim.service.queue`), execution is covered by worker
-leases with heartbeats (:mod:`~repro.sim.service.lease`), and admission
+spool, :mod:`~repro.sim.service.queue`), execution runs on the
+campaign layer's lease-based worker pool (:mod:`~repro.sim.campaign.pool`,
+the same engine as ``campaign run --jobs N``), and admission
 is bounded by per-client token quotas plus a queue cap
 (:mod:`~repro.sim.service.quota`) — heavy traffic degrades to HTTP 429
 backpressure, never to lost or duplicated work.  The headline
@@ -16,7 +17,6 @@ cache dir, and every campaign completes bit-identical to a serial
 from repro.sim.service.api import (ApiError, CampaignService,
                                    default_service_host,
                                    default_service_port, make_server)
-from repro.sim.service.lease import Lease, LeaseTable, default_lease_ttl
 from repro.sim.service.queue import (QueueFull, SPOOL_OUTCOMES,
                                      SpoolQueue, default_queue_cap)
 from repro.sim.service.quota import (QuotaTable, default_quota_burst,
@@ -25,13 +25,10 @@ from repro.sim.service.quota import (QuotaTable, default_quota_burst,
 __all__ = [
     "ApiError",
     "CampaignService",
-    "Lease",
-    "LeaseTable",
     "QueueFull",
     "QuotaTable",
     "SPOOL_OUTCOMES",
     "SpoolQueue",
-    "default_lease_ttl",
     "default_queue_cap",
     "default_quota_burst",
     "default_quota_refill",

@@ -1,7 +1,7 @@
 """The campaign daemon: API → durable queue → leased workers → receipts.
 
-:class:`CampaignService` composes the PR-8 fault-tolerance primitives
-into a long-running service (the SNIPPETS Snippet-3 shape):
+:class:`CampaignService` composes the campaign engine into a
+long-running service (the SNIPPETS Snippet-3 shape):
 
 * **Submit** (``POST /campaigns``) — a JSON campaign spec (workloads ×
   machine tokens × budget) is admitted through the per-client token
@@ -10,23 +10,29 @@ into a long-running service (the SNIPPETS Snippet-3 shape):
   in the result store settle instantly as ``cached``.  Campaign ids
   are content-derived, so resubmitting the same spec is idempotent —
   the client can crash and retry forever without duplicating work.
-* **Dispatch** — a dispatcher thread leases pending jobs to worker
-  processes under :class:`~repro.sim.service.lease.LeaseTable`
-  coverage.  Workers heartbeat while busy; a worker that stops
-  heartbeating past ``REPRO_LEASE_TTL`` has its lease expired and the
-  job re-queued (a transient failure under the usual
-  ``REPRO_RETRIES`` policy).  The zombie is left alone: results are
-  idempotent by cache key, so its late ``store.put`` is a no-op
-  duplicate and its late completion event is ignored.
-* **Settle** — every executed job ends durably ``done`` in the spool
+* **Dispatch** — a dispatcher thread feeds spooled jobs to the same
+  lease-based :class:`~repro.sim.campaign.pool.WorkerPool` that
+  ``campaign run --jobs N`` uses, blocking on worker events rather
+  than polling.  A worker that stops heartbeating past
+  ``REPRO_LEASE_TTL`` has its lease expired and the job re-queued; a
+  worker that dies is reaped and replaced.  Both are transient
+  failures under the usual ``REPRO_RETRIES`` policy
+  (:meth:`~repro.sim.campaign.executor.JobAttempts.failed`).  The
+  zombie is left alone: results are idempotent by cache key, so its
+  late completion settles nothing new.
+* **Settle** — the dispatcher persists every result to the store
+  itself, and every executed job ends durably ``done`` in the spool
   and as a typed :class:`~repro.sim.campaign.journal.JobReceipt` in
   the campaign journal (outcome ``ok``/``retried``/``quarantined``),
-  the same provenance records ``campaign status`` reads.
+  the same provenance records ``campaign run`` writes and
+  ``campaign status`` reads.
 * **Recover** — the daemon holds no state that matters outside
   ``<cache-dir>``: ``kill -9`` it, restart it, and the spool replays
-  accepted-but-undone jobs, cells finished before (or *during*, by an
-  orphaned worker) the crash are recognized in the result store, and
-  the campaign completes bit-identical to a serial oracle run.
+  accepted-but-undone jobs, cells settled before the crash are
+  recognized in the result store, and the campaign completes
+  bit-identical to a serial oracle run.  Workers never write the
+  store, so a cell that an orphaned worker finishes after the crash is
+  simulated again on restart rather than picked up from the store.
 
 The HTTP layer (``repro serve``) is a stdlib ``ThreadingHTTPServer``;
 ``/healthz`` answers liveness, ``/readyz`` readiness (queue depth
@@ -39,32 +45,26 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import queue as queue_mod
-import signal
 import threading
 import time
-from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
-
-import multiprocessing
-import sys
+from typing import Dict, Optional, Tuple
 
 from repro.defaults import (default_instructions,
                             default_sample_instructions, env_int)
 from repro.obs import log
 from repro.pipeline.stats import SimStats
 from repro.sim import faults
-from repro.sim.campaign.executor import (_execute_job, _format_error,
-                                         classify_error, default_retries,
+from repro.sim.campaign.executor import (Failure, JobAttempts,
+                                         default_retries,
                                          default_workers)
 from repro.sim.campaign.job import Job
-from repro.sim.campaign.journal import CampaignJournal, JobReceipt
+from repro.sim.campaign.journal import CampaignJournal
+from repro.sim.campaign.pool import WorkerPool
 from repro.sim.campaign.spec import CampaignSpec
 from repro.sim.campaign.status import status_snapshot
 from repro.sim.campaign.store import ResultStore
 from repro.sim.config import SimConfig
-from repro.sim.service.lease import LeaseTable, default_lease_ttl
 from repro.sim.service.queue import QueueFull, SpoolQueue
 from repro.sim.service.quota import QuotaTable
 from repro.workloads import DEFAULT_SEED, all_workloads
@@ -88,129 +88,6 @@ class ApiError(Exception):
         self.retry_after = retry_after
 
 
-# --------------------------------------------------------------------- #
-# Worker process body.
-# --------------------------------------------------------------------- #
-
-def _worker_main(worker_id: str, tasks, events, cache_dir: str,
-                 checkpoints: bool, timeout: Optional[float],
-                 beat_interval: float, parent_pid: int) -> None:
-    """Service worker: execute leased jobs, heartbeat while busy, put
-    results into the shared store, report completion events.
-
-    The worker re-arms the environment fault plan with its *own*
-    firing state (``heartbeat`` and ``put`` sites fire worker-side);
-    job faults still ride in the task payload, consumed daemon-side at
-    dispatch ordinals exactly like the pool executor.
-
-    An orphan check on the task-queue idle path makes a SIGKILLed
-    daemon's workers exit on their own: they finish their current job
-    (its ``store.put`` survives the crash and is recognized on
-    restart) and notice the reparenting within a second.
-    """
-    try:
-        faults._PLAN = faults.FaultPlan.from_env()
-    except Exception:                       # noqa: BLE001 — never wedge
-        faults._PLAN = None
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        if hasattr(signal, "SIGTERM"):
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    except (ValueError, OSError):
-        pass
-    store = ResultStore(cache_dir)
-    busy = threading.Event()
-
-    def _beats() -> None:
-        while True:
-            time.sleep(beat_interval)
-            if not busy.is_set():
-                continue                    # idle: liveness via is_alive
-            try:
-                faults.fire("heartbeat")
-                events.put(("beat", worker_id, None, None))
-            except OSError:
-                pass                        # suppressed beat: stay silent
-
-    threading.Thread(target=_beats, daemon=True).start()
-
-    while True:
-        try:
-            task = tasks.get(timeout=1.0)
-        except queue_mod.Empty:
-            if os.getppid() != parent_pid:
-                return                      # daemon died: drain out
-            continue
-        if task is None:
-            return
-        key, job_dict, inject = task
-        busy.set()
-        try:
-            job = Job.from_dict(job_dict)
-            stats_dict, _ = _execute_job(job, timeout, cache_dir,
-                                         checkpoints, False, inject)
-        except Exception as exc:            # noqa: BLE001
-            busy.clear()
-            events.put(("fail", worker_id, key, {
-                "error_class": type(exc).__name__,
-                "message": _format_error(exc),
-                "transient": classify_error(exc) == "transient"}))
-            continue
-        busy.clear()
-        store_error = None
-        try:
-            store.put(key, SimStats.from_dict(stats_dict),
-                      meta=job.to_dict())
-        except OSError as exc:
-            store_error = str(exc)
-        events.put(("done", worker_id, key,
-                    {"stats": stats_dict, "store_error": store_error}))
-
-
-class _WorkerHandle:
-    """Daemon-side view of one worker process."""
-
-    def __init__(self, worker_id: str, process, tasks) -> None:
-        self.id = worker_id
-        self.process = process
-        self.tasks = tasks
-        self.busy: Optional[str] = None     # key in flight, if any
-        self.last_beat: float = 0.0
-
-    def send(self, task) -> None:
-        self.tasks.put(task)
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def stop(self) -> None:
-        try:
-            self.tasks.put(None)
-        except (OSError, ValueError):
-            pass
-
-    def join(self, timeout: float) -> None:
-        self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-
-
-@dataclass
-class _JobState:
-    """Daemon-side attempt bookkeeping for one undone job."""
-
-    label: str = ""
-    attempts: int = 0
-    errors: List[str] = field(default_factory=list)
-    error_class: Optional[str] = None
-    started: float = 0.0
-    wall: float = 0.0
-
-
-# --------------------------------------------------------------------- #
-# The daemon.
-# --------------------------------------------------------------------- #
-
 class CampaignService:
     """Queue/worker campaign daemon over one cache directory."""
 
@@ -228,87 +105,64 @@ class CampaignService:
         self.store = ResultStore(cache_dir)
         self.cache_dir = self.store.cache_dir
         self.queue = SpoolQueue(self.cache_dir, cap=queue_cap)
-        self.leases = LeaseTable(lease_ttl, clock=clock)
         self.quota = QuotaTable(quota_burst, quota_refill, clock=clock)
         self.journal = CampaignJournal(self.cache_dir)
         self.workers_wanted = (workers if workers is not None
                                else default_workers())
         self.retries = (retries if retries is not None
                         else default_retries())
-        self.timeout = timeout
-        self.checkpoints = (checkpoints if checkpoints is not None
-                            else checkpoints_enabled())
         self.clock = clock
-        self.respawns = 0
         self.plan = faults.FaultPlan.from_env()
+        self.pool = WorkerPool(
+            self.workers_wanted, cache_dir=self.cache_dir,
+            checkpoints=(checkpoints if checkpoints is not None
+                         else checkpoints_enabled()),
+            timeout=timeout, plan=self.plan, lease_ttl=lease_ttl,
+            clock=clock)
+        self.leases = self.pool.leases
         self._dispatches = 0
-        self._states: Dict[str, _JobState] = {}
+        self._states: Dict[str, JobAttempts] = {}
         self._results: Dict[str, dict] = {}  # stats seen this process
-        self._workers: Dict[str, _WorkerHandle] = {}
-        self._worker_seq = 0
-        self._events = None                 # created at start()
         self._lock = threading.RLock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._started_at = clock()
-        # Dispatcher cadence: several ticks per lease TTL so expiry is
-        # detected promptly, floored so tiny test TTLs cannot busy-spin.
-        self.tick_interval = min(0.25, max(0.01, self.leases.ttl / 8))
-        self.beat_interval = max(0.01, self.leases.ttl / 4)
 
     # ------------------------------------------------------------------ #
     # Lifecycle.
     # ------------------------------------------------------------------ #
 
-    def start(self, dispatch_thread: bool = True) -> None:
-        """Arm faults, recover the spool, spawn workers and (unless a
-        test drives :meth:`_tick` by hand) the dispatcher thread."""
+    def start(self) -> None:
+        """Arm faults, recover the spool, fork the workers and start
+        the dispatcher thread."""
         faults._PLAN = self.plan
-        context = (multiprocessing.get_context("fork")
-                   if sys.platform == "linux"
-                   else multiprocessing.get_context())
-        self._context = context
-        if self._events is None:
-            self._events = context.Queue()
         self._recover()
-        for _ in range(max(1, self.workers_wanted)):
-            self._spawn_worker()
-        if dispatch_thread:
-            self._thread = threading.Thread(target=self._loop,
-                                            name="repro-dispatch",
-                                            daemon=True)
-            self._thread.start()
+        self.pool.start()
+        self._thread = threading.Thread(target=self._loop,
+                                        name="repro-dispatch",
+                                        daemon=True)
+        self._thread.start()
+        self.pool.wake()                    # dispatch recovered jobs now
 
     def stop(self) -> None:
         self._stop.set()
         if self._thread is not None:
+            self.pool.wake()
             self._thread.join(timeout=5.0)
-        for worker in self._workers.values():
-            worker.stop()
-        for worker in self._workers.values():
-            worker.join(timeout=2.0)
+        self.pool.stop()
         faults._PLAN = None
 
     def _recover(self) -> None:
         """Replay recovery: settle every spooled-but-undone job whose
-        result already sits in the store (finished before — or by an
-        orphaned worker during — the previous daemon's death)."""
-        recovered = 0
-        while True:
+        result already sits in the store (settled before the previous
+        daemon's death, or by a concurrent ``campaign run``)."""
+        undone = []
+        item = self.queue.claim()
+        while item is not None:
+            undone.append(item[0])
             item = self.queue.claim()
-            if item is None:
-                break
-            key, _payload = item
-            if self.store.get(key) is not None:
-                self.queue.mark_done(key, "cached", attempts=0)
-                recovered += 1
-            else:
-                self.queue.requeue(key)
-                break                   # claim() cycles; stop at first miss
-        # One claim/requeue pass is not a full scan (requeue fronts the
-        # queue); walk the remaining pending keys explicitly.
-        undone = [key for key, _ in self._drain_claims()]
-        for key in undone:
+        recovered = 0
+        for key in reversed(undone):        # requeue() fronts the queue
             if self.store.get(key) is not None:
                 self.queue.mark_done(key, "cached", attempts=0)
                 recovered += 1
@@ -322,30 +176,6 @@ class CampaignService:
             log(f"repro: serve: {depth} job(s) pending from the spool "
                 f"will be re-dispatched")
 
-    def _drain_claims(self) -> List[Tuple[str, dict]]:
-        out = []
-        while True:
-            item = self.queue.claim()
-            if item is None:
-                return out
-            out.append(item)
-
-    def _spawn_worker(self) -> _WorkerHandle:
-        self._worker_seq += 1
-        worker_id = f"w{self._worker_seq}"
-        tasks = self._context.Queue()
-        process = self._context.Process(
-            target=_worker_main,
-            args=(worker_id, tasks, self._events, str(self.cache_dir),
-                  self.checkpoints, self.timeout, self.beat_interval,
-                  os.getpid()),
-            daemon=True)
-        process.start()
-        handle = _WorkerHandle(worker_id, process, tasks)
-        handle.last_beat = self.clock()
-        self._workers[worker_id] = handle
-        return handle
-
     # ------------------------------------------------------------------ #
     # Dispatcher.
     # ------------------------------------------------------------------ #
@@ -353,172 +183,89 @@ class CampaignService:
     def _loop(self) -> None:
         while not self._stop.is_set():
             try:
-                self._tick()
+                self._tick(self.pool.tick)
             except Exception as exc:        # noqa: BLE001 — keep serving
                 log(f"repro: serve: dispatcher error: "
                     f"{type(exc).__name__}: {exc}", "error")
-            self._stop.wait(self.tick_interval)
+                self._stop.wait(self.pool.tick)     # do not spin
 
-    def _tick(self) -> None:
-        """One dispatcher round: drain worker events, expire leases,
-        replace dead workers, dispatch pending jobs to idle workers."""
+    def _tick(self, timeout: float = 0.0) -> None:
+        """One dispatcher round: wait up to ``timeout`` seconds for
+        worker events, settle every attempt that ended, then dispatch
+        pending jobs to idle workers."""
+        events = self.pool.receive(timeout)
         with self._lock:
-            self._drain_events()
-            self._expire_leases()
-            self._reap_workers()
+            for key, result, failure in self.pool.collect(events):
+                self._settle(key, result, failure)
             self._dispatch()
 
-    def _drain_events(self) -> None:
-        while True:
-            try:
-                kind, worker_id, key, payload = self._events.get_nowait()
-            except queue_mod.Empty:
-                return
-            worker = self._workers.get(worker_id)
-            if kind == "beat":
-                if worker is not None:
-                    worker.last_beat = self.clock()
-                self.leases.renew(worker_id)
-            elif kind == "done":
-                if worker is not None and worker.busy == key:
-                    worker.busy = None
-                self._job_done(key, payload)
-            elif kind == "fail":
-                if worker is not None and worker.busy == key:
-                    worker.busy = None
-                self._job_failed(key, payload)
-
-    def _job_done(self, key: str, payload: dict) -> None:
+    def _settle(self, key: str, result: Optional[tuple],
+                failure: Optional[Failure]) -> None:
         if self.queue.outcome(key) is not None:
-            # A zombie finished after its lease expired and the job was
-            # settled by the re-dispatch: idempotent by key, ignore.
-            log(f"repro: serve: late result for settled job "
-                f"{key[:12]} ignored (idempotent duplicate)", "debug")
-            return
-        state = self._states.setdefault(key, _JobState())
-        if state.started:
-            state.wall += self.clock() - state.started
-            state.started = 0.0
-        self._results[key] = payload.get("stats", {})
-        if payload.get("store_error"):
-            log(f"repro: serve: result store write failed for "
-                f"{state.label or key[:12]} "
-                f"({payload['store_error']}); result held in daemon "
-                f"memory only", "warn")
-        self.leases.release(key)
-        outcome = "retried" if state.attempts > 1 else "ok"
-        self.queue.mark_done(key, outcome, attempts=state.attempts)
-        self.journal.record(JobReceipt(
-            key=key, label=state.label, outcome=outcome,
-            attempts=state.attempts, error_class=state.error_class,
-            errors=list(state.errors), wall_seconds=state.wall))
-
-    def _job_failed(self, key: str, payload: dict) -> None:
-        if self.queue.outcome(key) is not None:
-            return                          # late failure of a zombie
-        state = self._states.setdefault(key, _JobState())
-        if state.started:
-            state.wall += self.clock() - state.started
-            state.started = 0.0
-        state.errors.append(payload.get("message", "unknown failure"))
-        state.error_class = payload.get("error_class", "Exception")
-        self.leases.release(key)
-        if payload.get("transient") and state.attempts <= self.retries:
-            log(f"repro: serve: retrying {state.label or key[:12]} "
-                f"(attempt {state.attempts} failed: "
-                f"{state.error_class})", "warn")
+            return                          # a zombie's late duplicate
+        state = self._states.setdefault(key, JobAttempts(key[:12]))
+        state.end(self.clock())
+        if failure is None:
+            self._finish(key, state, result[0])
+        elif state.failed(failure, self.retries):
+            log(f"repro: serve: retrying {state.label} (attempt "
+                f"{state.attempts} failed: {failure.error_class})",
+                "warn")
             self.queue.requeue(key)
         else:
             self._quarantine(key, state)
 
-    def _quarantine(self, key: str, state: _JobState) -> None:
+    def _finish(self, key: str, state: JobAttempts,
+                stats_dict: dict) -> None:
+        self._results[key] = stats_dict
+        try:
+            self.store.put(key, SimStats.from_dict(stats_dict),
+                           meta=self.queue.payload(key))
+        except OSError as exc:
+            log(f"repro: serve: result store write failed for "
+                f"{state.label} ({exc}); result held in daemon "
+                f"memory only", "warn")
+        receipt = state.receipt(key)
+        self.queue.mark_done(key, receipt.outcome,
+                             attempts=state.attempts)
+        self.journal.record(receipt)
+
+    def _quarantine(self, key: str, state: JobAttempts) -> None:
         self.queue.mark_done(key, "quarantined",
                              attempts=state.attempts)
-        self.journal.record(JobReceipt(
-            key=key, label=state.label, outcome="quarantined",
-            attempts=state.attempts, error_class=state.error_class,
-            errors=list(state.errors), wall_seconds=state.wall))
-        log(f"repro: serve: quarantined {state.label or key[:12]} "
-            f"after {state.attempts} attempt(s): "
-            f"{state.errors[-1] if state.errors else '?'}", "warn")
-
-    def _expire_leases(self) -> None:
-        for lease in self.leases.expired():
-            state = self._states.setdefault(lease.key, _JobState())
-            if state.started:
-                state.wall += self.clock() - state.started
-                state.started = 0.0
-            state.errors.append(
-                f"LeaseExpired: no heartbeat from {lease.worker} for "
-                f"{self.leases.ttl:g}s ({lease.renewals} renewal(s))")
-            state.error_class = "LeaseExpired"
-            # The zombie worker keeps its busy slot until its own late
-            # event arrives; the JOB is re-dispatchable immediately.
-            if state.attempts <= self.retries:
-                log(f"repro: serve: lease expired for "
-                    f"{state.label or lease.key[:12]} (worker "
-                    f"{lease.worker}); re-dispatching", "warn")
-                self.queue.requeue(lease.key)
-            else:
-                self._quarantine(lease.key, state)
-
-    def _reap_workers(self) -> None:
-        for worker_id, worker in list(self._workers.items()):
-            if worker.alive():
-                continue
-            del self._workers[worker_id]
-            worker.busy = None
-            for lease in self.leases.expire_worker(worker_id):
-                state = self._states.setdefault(lease.key, _JobState())
-                if state.started:
-                    state.wall += self.clock() - state.started
-                    state.started = 0.0
-                state.errors.append(
-                    f"WorkerLost: {worker_id} died with job in flight")
-                state.error_class = "WorkerLost"
-                if state.attempts <= self.retries:
-                    self.queue.requeue(lease.key)
-                else:
-                    self._quarantine(lease.key, state)
-            self.respawns += 1
-            log(f"repro: serve: worker {worker_id} died; respawning "
-                f"(respawn {self.respawns})", "warn")
-            self._spawn_worker()
+        self.journal.record(state.receipt(key, quarantined=True))
+        log(f"repro: serve: quarantined {state.label} after "
+            f"{state.attempts} attempt(s): {state.errors[-1]}", "warn")
 
     def _dispatch(self) -> None:
-        for worker in self._workers.values():
-            if worker.busy is not None or not worker.alive():
-                continue
+        for worker_id in self.pool.idle():
             while True:
                 item = self.queue.claim()
                 if item is None:
                     return
                 key, payload = item
+                state = self._states.setdefault(key, JobAttempts(key[:12]))
                 # Idempotence check at dispatch: the result may have
                 # landed since enqueue (recovery race, a zombie, or a
                 # plain `campaign run` sharing this cache dir).
                 if key in self._results \
                         or ResultStore(self.cache_dir).get(key) \
                         is not None:
-                    self.queue.mark_done(
-                        key, "cached",
-                        attempts=self._states.get(
-                            key, _JobState()).attempts)
+                    self.queue.mark_done(key, "cached",
+                                         attempts=state.attempts)
                     continue
-                state = self._states.setdefault(key, _JobState())
-                if not state.label:
-                    try:
-                        state.label = Job.from_dict(payload).label
-                    except Exception:       # noqa: BLE001
-                        state.label = key[:12]
+                try:
+                    job = Job.from_dict(payload)
+                except (KeyError, TypeError, ValueError) as exc:
+                    state.failed(Failure.of(exc), retries=0)
+                    self._quarantine(key, state)
+                    continue
+                state.label = job.label
                 self._dispatches += 1
-                state.attempts += 1
-                state.started = self.clock()
-                inject = (self.plan.job_fault(self._dispatches)
-                          if self.plan else None)
-                self.leases.grant(key, worker.id)
-                worker.busy = key
-                worker.send((key, payload, inject))
+                state.begin(self.clock())
+                self.pool.send(worker_id, key, job,
+                               self.plan.job_fault(self._dispatches)
+                               if self.plan else None)
                 break
 
     # ------------------------------------------------------------------ #
@@ -579,6 +326,8 @@ class CampaignService:
                 raise ApiError(503, f"spool write failed: {exc}")
             for key in cached:
                 self.queue.mark_done(key, "cached", attempts=0)
+            if fresh and self._thread is not None:
+                self.pool.wake()            # dispatch without a tick
             return self._ack(record)
 
     def _ack(self, record: dict) -> dict:
@@ -701,7 +450,7 @@ class CampaignService:
                     409, f"campaign {campaign_id} is {status['state']} "
                     f"({status['done']}/{status['jobs']} done); poll "
                     f"/campaigns/{campaign_id} until it settles")
-            store = ResultStore(self.cache_dir)   # fresh: see worker puts
+            store = ResultStore(self.cache_dir)   # fresh: other writers too
             grid: Dict[str, Dict[str, SimStats]] = {}
             missing = []
             for bench, row in record.get("cells", {}).items():
@@ -741,16 +490,14 @@ class CampaignService:
                     "uptime_seconds": round(
                         self.clock() - self._started_at, 3),
                     "workers": {"configured": self.workers_wanted,
-                                "alive": sum(
-                                    1 for w in self._workers.values()
-                                    if w.alive()),
-                                "respawns": self.respawns},
+                                "alive": self.pool.alive(),
+                                "respawns": self.pool.respawns},
                     "dispatches": self._dispatches}
 
     def readyz(self) -> Tuple[bool, dict]:
         with self._lock:
             depth = self.queue.depth()
-            alive = sum(1 for w in self._workers.values() if w.alive())
+            alive = self.pool.alive()
             ready = alive > 0 and depth < self.queue.cap
             body = {"ready": ready,
                     "queue": {"depth": depth, "cap": self.queue.cap,

@@ -249,6 +249,10 @@ class SpoolQueue:
             return
         self._maybe_compact()
 
+    def payload(self, key: str) -> Optional[dict]:
+        """The durable job payload of an undone key."""
+        return self._jobs.get(key)
+
     def outcome(self, key: str) -> Optional[str]:
         event = self._done.get(key)
         return event.get("outcome") if event else None

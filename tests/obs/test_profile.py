@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 from repro.obs import PhaseProfile, profile_enabled, span
 from repro.sim.campaign import CampaignSpec, profile_path, run_jobs
@@ -37,6 +38,28 @@ def test_format_orders_by_share():
     lines = profile.format().splitlines()
     assert lines[0].startswith("detail") and "75.0%" in lines[0]
     assert lines[1].startswith("ff") and "25.0%" in lines[1]
+
+
+def test_format_shows_job_as_self_time():
+    """``job`` encloses every phase but ``queue-wait``: the table shows
+    its self time, so the shares sum to 100%, while the stored totals
+    keep the enclosing ``job`` span."""
+    profile = PhaseProfile()
+    profile.add("job", 7.0, count=4)
+    profile.add("detail", 4.0, count=4)
+    profile.add("ff", 1.25, count=4)
+    profile.add("queue-wait", 1.0, count=4)
+    rows = {}
+    for line in profile.format().splitlines():
+        match = re.match(r"(\S+(?: \(self\))?)\s+([\d.]+)s\s+([\d.]+)%",
+                         line)
+        rows[match.group(1)] = (float(match.group(2)),
+                                float(match.group(3)))
+    assert rows["job (self)"][0] == 1.75
+    assert rows["detail"][0] == 4.0 and rows["queue-wait"][0] == 1.0
+    assert abs(sum(share for _, share in rows.values()) - 100.0) < 0.5
+    assert profile.seconds["job"] == 7.0
+    assert profile.to_dict()["seconds"]["job"] == 7.0
 
 
 def test_profile_enabled_env(monkeypatch):

@@ -1,9 +1,9 @@
-"""Lease table semantics (repro.sim.service.lease)."""
+"""Lease table semantics (repro.sim.campaign.lease)."""
 
 import pytest
 
 from repro.sim import faults
-from repro.sim.service.lease import LeaseTable, default_lease_ttl
+from repro.sim.campaign.lease import LeaseTable, default_lease_ttl
 
 
 class FakeClock:

@@ -137,7 +137,7 @@ def test_stalled_worker_lease_expires_and_job_retries_once(tmp_path):
             with service._lock:
                 holder = service.leases.holder(key)
                 if holder is not None:
-                    stopped_pid = service._workers[holder].process.pid
+                    stopped_pid = service.pool.workers[holder].process.pid
                     break
             time.sleep(0.02)
         assert holder is not None, "job never dispatched"

@@ -4,6 +4,8 @@ The store, journal and artifact layers all take the same per-cache
 ``flock`` sidecar; two whole campaigns racing over the same grid must
 both succeed, leave exactly one record per cell, tear no receipts, and
 account every cell as either simulated or a cache hit — never lose one.
+Their ``--profile`` merges into one ``profile.json`` must not lose one
+either.
 """
 
 import json
@@ -19,11 +21,12 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 
-def _campaign(cache_dir, workloads="gzip,mcf"):
+def _campaign(cache_dir, workloads="gzip,mcf", *flags):
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "campaign", "run",
          "--workloads", workloads, "--machines", "baseline,msp:16",
-         "-n", "4000", "--cache-dir", str(cache_dir), "--jobs", "2"],
+         "-n", "4000", "--cache-dir", str(cache_dir), "--jobs", "2",
+         *flags],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH="src", REPRO_LOG="warn"),
         cwd=REPO)
@@ -31,8 +34,8 @@ def _campaign(cache_dir, workloads="gzip,mcf"):
 
 def test_concurrent_campaigns_share_cache_without_tearing(tmp_path):
     cache = tmp_path / "shared"
-    first = _campaign(cache)
-    second = _campaign(cache)
+    first = _campaign(cache, "gzip,mcf", "--profile")
+    second = _campaign(cache, "gzip,mcf", "--profile")
     out1, err1 = first.communicate(timeout=300)
     out2, err2 = second.communicate(timeout=300)
     assert first.returncode == 0, err1
@@ -68,6 +71,15 @@ def test_concurrent_campaigns_share_cache_without_tearing(tmp_path):
             continue                   # all fresh: no cache line logged
         hits, simulated = int(match.group(1)), int(match.group(2))
         assert simulated + hits == 4, err
+
+    # The locked profile.json merge kept both runs: one `job` span per
+    # cell either process simulated (a run without a cache line
+    # simulated all four).
+    simulated = [4 - int(match.group(1)) if match else 4
+                 for match in (re.search(r"cache: (\d+) hit\(s\)", err)
+                               for err in (err1, err2))]
+    merged = json.loads((cache / "profile.json").read_text())
+    assert merged["counts"]["job"] == sum(simulated)
 
 
 def test_sequential_rerun_is_pure_cache_hits(tmp_path):

@@ -113,9 +113,12 @@ def _kill_after_first(signum):
     return progress
 
 
-def test_sigterm_drains_serial_run_and_journals_gap(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigterm_drains_run_and_journals_gap(tmp_path, workers):
+    """Serial and pooled runs drain alike: finished results are kept,
+    the gap is journalled, and a resume completes the grid."""
     jobs = _grid_jobs()
-    report = run_jobs(jobs, workers=1, cache_dir=tmp_path,
+    report = run_jobs(jobs, workers=workers, cache_dir=tmp_path,
                       progress=_kill_after_first(signal.SIGTERM))
     assert report.interrupted == "SIGTERM"
     assert 1 <= report.simulated < 4
@@ -127,7 +130,8 @@ def test_sigterm_drains_serial_run_and_journals_gap(tmp_path):
     assert len(drains[0]["missing"]) == 4 - report.simulated
 
     # Resume picks up exactly the missing cells.
-    resumed = run_jobs(jobs, workers=1, cache_dir=tmp_path, resume=True)
+    resumed = run_jobs(jobs, workers=workers, cache_dir=tmp_path,
+                       resume=True)
     assert resumed.interrupted is None
     assert resumed.hits == report.simulated
     assert resumed.simulated == 4 - report.simulated

@@ -1,4 +1,4 @@
-"""Supervised pool, retry/quarantine, and chaos convergence.
+"""Leased worker pool, retry/quarantine, and chaos convergence.
 
 The chaos invariant (the PR's acceptance criterion): under injected
 worker kills, timeouts and disk faults, ``run_jobs`` completes, retried
@@ -162,3 +162,47 @@ def test_env_retry_knobs(monkeypatch):
     from repro.defaults import EnvConfigError
     with pytest.raises(EnvConfigError):
         default_retries()
+
+
+def _quarantined_via_run_jobs(job, tmp_path, monkeypatch):
+    report = run_jobs([job], workers=2, cache_dir=tmp_path,
+                      raise_on_error=False,
+                      fault_plan=FaultPlan.parse("assert@1"))
+    return report.receipts[job.cache_key()]
+
+
+def _quarantined_via_service(job, tmp_path, monkeypatch):
+    import time
+
+    from repro.sim.campaign import CampaignJournal
+    from repro.sim.service import CampaignService
+    monkeypatch.setenv("REPRO_FAULT_INJECT", "assert@1")
+    service = CampaignService(cache_dir=tmp_path, workers=2)
+    service.start()
+    try:
+        ack = service.submit({"workloads": [job.workload],
+                              "machines": [job.config.to_dict()],
+                              "instructions": job.instructions})
+        [key] = service.queue.campaign(ack["campaign"])["keys"]
+        assert key == job.cache_key()
+        deadline = time.monotonic() + 60
+        while service.queue.outcome(key) is None:
+            assert time.monotonic() < deadline, "job never settled"
+            time.sleep(0.05)
+    finally:
+        service.stop()
+    return CampaignJournal(tmp_path).receipts()[key]
+
+
+@pytest.mark.parametrize("engine", [_quarantined_via_run_jobs,
+                                    _quarantined_via_service],
+                         ids=["run_jobs", "service"])
+def test_quarantined_receipt_carries_worker_traceback(engine, tmp_path,
+                                                      monkeypatch):
+    """Both drivers of the worker pool keep the frame that raised, as
+    formatted in the worker, in the receipt."""
+    job = Job("gzip", SimConfig.baseline(), 250)
+    receipt = engine(job, tmp_path, monkeypatch)
+    assert receipt.outcome == "quarantined"
+    assert receipt.error_class == "AssertionError"
+    assert "_apply_injected_fault" in receipt.errors[-1]
